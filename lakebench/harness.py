@@ -302,7 +302,7 @@ def main(argv: list[str]) -> int:
         _teardown(watch, run_dir, ray_dir, ray_dir_outside)
         return 1
     for op, xs in sorted(lc.samples.items()):
-        print(f"lakebench: {op}: {len(xs)} samples, median {statistics.median(xs):.4f} s, " f"min {min(xs):.4f}, max {max(xs):.4f}", file=sys.stderr)
+        print(f"lakebench: {op}: {len(xs)} samples, median {statistics.median(xs):.4f} s, min {min(xs):.4f}, max {max(xs):.4f}", file=sys.stderr)
     print(
         f"lakebench: {args.workload} seed {args.seed}: {rounds} rounds in {loop_s:.1f} s, "
         f"set-up {setup_s:.1f} s, passes {passes_s:.1f} s, checks {lc.check_s:.1f} s, {ncpu} cpus, load {os.getloadavg()[0]:.2f}",

@@ -18,6 +18,7 @@ propagates; anything wrong with its output raises ``CheckError``.
 
 from __future__ import annotations
 
+import functools
 import glob
 import json
 import os
@@ -302,26 +303,15 @@ class Lifecycle:
         cols = [key] + sorted({c for c, _f, _a in aggs})
         return self._materialized(op, lambda: hash_aggregate(self._read(self.li_paths, cols), key, aggs))
 
-    def _check_hash_aggregate(self, op: str, refs) -> None:
+    def _check_hash_aggregate(self, op: str, refs, seconds) -> None:
         checks.same_rows(op, _fetch(refs), self.expected[op], [AGGS[op][0]])
 
-    def _aggregate(self):
-        return self._hash_aggregate("aggregate")
-
-    def _check_aggregate(self, refs, seconds):
-        self._check_hash_aggregate("aggregate", refs)
-
-    def _string_key_aggregate(self):
-        return self._hash_aggregate("string_key_aggregate")
-
-    def _check_string_key_aggregate(self, refs, seconds):
-        self._check_hash_aggregate("string_key_aggregate", refs)
-
-    def _date_key_aggregate(self):
-        return self._hash_aggregate("date_key_aggregate")
-
-    def _check_date_key_aggregate(self, refs, seconds):
-        self._check_hash_aggregate("date_key_aggregate", refs)
+    _aggregate = functools.partialmethod(_hash_aggregate, "aggregate")
+    _check_aggregate = functools.partialmethod(_check_hash_aggregate, "aggregate")
+    _string_key_aggregate = functools.partialmethod(_hash_aggregate, "string_key_aggregate")
+    _check_string_key_aggregate = functools.partialmethod(_check_hash_aggregate, "string_key_aggregate")
+    _date_key_aggregate = functools.partialmethod(_hash_aggregate, "date_key_aggregate")
+    _check_date_key_aggregate = functools.partialmethod(_check_hash_aggregate, "date_key_aggregate")
 
     def _vocab_histogram(self):
         if not self.traced:

@@ -98,7 +98,6 @@ def instrument(tracer: Tracer) -> None:
 
     for owner, attr, name in [
         (partition, "plan_partitions", "partition.plan_partitions"),
-        (enc_mod, "plan_partitions", "partition.plan_partitions"),
         (partition, "read_partition", "partition.read_partition"),
         (enc_mod, "read_partition", "partition.read_partition"),
         (selector, "select_int_codec", "codecs.select"),
