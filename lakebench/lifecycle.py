@@ -47,7 +47,7 @@ CORPUS_DOCS = 2500  # ~4.1M tokens
 CORPUS_SHARDS = 8
 PARTITIONS = 16  # byte budget = corpus token bytes / PARTITIONS
 SMALL_DOCS = 60  # ~0.1M tokens and no outlier: the value-count lake
-SMALL_PARTITIONS = 4
+SMALL_SHARDS = 4  # length buckets (files) of the value-count corpus
 N_ORDERS = 50_000  # ~200k lineitem rows
 FILTER_SHARD = 4  # the n_tok predicate keeps length buckets 0..FILTER_SHARD
 PROJECTED = ["doc_id", "n_tok", "source"]
@@ -125,12 +125,14 @@ class Lifecycle:
         self.filter_max = int(pc.max(pc.filter(n_tok, pa.array(shard <= FILTER_SHARD))).as_py())
         self.filtered = self.corpus.filter(pc.less_equal(n_tok, self.filter_max))
 
-        small, _ = gen.corpus(self.seed, SMALL_DOCS, SMALL_PARTITIONS, stream=3, outlier=False)
+        small, _ = gen.corpus(self.seed, SMALL_DOCS, SMALL_SHARDS, stream=3, outlier=False)
         small_paths = gen.write_corpus(small, os.path.join(w, "small_corpus"))
         small_flat = small["tokens"].combine_chunks().flatten().to_numpy()
         self.small_hist = np.bincount(small_flat, minlength=gen.VOCAB)
         self.small_lake = os.path.join(w, "small_lake")
-        enc.encode_dataset(small_paths, self.small_lake, budget_bytes=len(small_flat) * 4 // SMALL_PARTITIONS, resume=False)
+        # one stripe: with several, Ray's sort-shuffle splits the cells
+        # unevenly between reducers in a way that moves with the seed
+        enc.encode_dataset(small_paths, self.small_lake, budget_bytes=4 * len(small_flat), resume=False)
 
         lineitem, orders = gen.tpch(self.seed, N_ORDERS)
         self.li_paths = gen.write_parts(lineitem, os.path.join(w, "lineitem"), "lineitem", 4)
