@@ -46,7 +46,7 @@ LOOP_ONLY = ("date_key_aggregate",)
 CORPUS_DOCS = 2500  # ~4.1M tokens
 CORPUS_SHARDS = 8
 PARTITIONS = 16  # byte budget = corpus token bytes / PARTITIONS
-SMALL_DOCS = 60  # ~0.1M tokens and no outlier: the value-count lake
+SMALL_DOCS = 30  # ~48k tokens and no outlier: the value-count lake
 SMALL_SHARDS = 4  # length buckets (files) of the value-count corpus
 N_ORDERS = 50_000  # ~200k lineitem rows
 FILTER_SHARD = 4  # the n_tok predicate keeps length buckets 0..FILTER_SHARD
@@ -113,8 +113,7 @@ class Lifecycle:
 
         self.enc = enc
         w = self.work
-        tbl, kind = gen.corpus(self.seed, CORPUS_DOCS, CORPUS_SHARDS)
-        self.mixture = gen.run_mixture(tbl, kind)
+        tbl, _ = gen.corpus(self.seed, CORPUS_DOCS, CORPUS_SHARDS)
         shard = tbl["_shard"].to_numpy()
         self.paths = gen.write_corpus(tbl, os.path.join(w, "corpus"))
         self.corpus = gen.strip_shard(tbl)
@@ -152,9 +151,7 @@ class Lifecycle:
         con.close()
 
         self.lake = os.path.join(w, "lake")
-        t0 = time.perf_counter()
         enc.encode_dataset(self.paths, self.lake, budget_bytes=self.budget, resume=False)
-        self.setup_encode_s = time.perf_counter() - t0
         checks.lineage("set-up lake lineage", self._records(self.lake), self.lake, self.corpus.num_rows)
         self.ref_digests = checks.digests(self.lake)
         self.lake_bytes = sum(s for s, _ in self.ref_digests.values())
