@@ -5,9 +5,8 @@ process, one client running operations back to back.
 
 A run sets up (generates every input from the seed, starts Ray, encodes the
 scan lake, runs every read and exchange operation once as a warm-up), runs
-the other phases'
-operations twice for their figures, then runs whole rounds of its own
-phase's operations until ``--seconds`` have passed.
+the other phases' operations three times for their figures, then runs whole
+rounds of its own phase's operations until ``--seconds`` have passed.
 ``--trace 0`` prints the end-to-end metrics; ``--trace 1`` prints the
 per-layer metrics (see spans.py). The last line of standard output is the
 JSON result; everything else goes to standard error. Start it through
@@ -36,7 +35,7 @@ OBJECT_STORE_BYTES = 512 << 20
 # Ray puts unix sockets under its temp dir; their paths must stay < 108 bytes
 _MAX_RAY_TEMP_LEN = 40
 REAP_GRACE_S = 10.0
-PASSES = 2  # passes over the other phases' operations before the loop
+PASSES = 3  # passes over the other phases' operations; figures are medians
 WORKLOADS = ("encode", "scan", "exchange")  # lifecycle.PHASES
 
 
