@@ -278,7 +278,7 @@ def main(argv: list[str]) -> int:
     t_loop = time.perf_counter()
     rounds = 0
     while True:
-        for op in lifecycle.PHASES[args.workload]:
+        for op in lifecycle.ROUNDS[args.workload]:
             attempt(op)
         rounds += 1
         if time.perf_counter() - t_loop >= args.seconds:
