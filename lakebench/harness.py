@@ -3,10 +3,11 @@ process, one client running operations back to back.
 
     python3 lakebench/run.py --workload {encode,scan,exchange} --seed N --seconds S --trace {0,1}
 
-A run sets up (generates every input from the seed, starts Ray, encodes the
-scan lake, runs every read and exchange operation once as a warm-up), runs
-the other phases' operations three times for their figures, then runs whole
-rounds of its own phase's operations until ``--seconds`` have passed.
+A run sets up (generates every input from the seed, starts Ray with its
+default settings, encodes the scan lake and the value-count lake), then goes
+through the phases in lifecycle order: its own phase as whole rounds until
+``--seconds`` have passed, each other phase for a fixed number of rounds,
+for its figures.
 ``--trace 0`` prints the end-to-end metrics; ``--trace 1`` prints the
 per-layer metrics (see spans.py). The last line of standard output is the
 JSON result; everything else goes to standard error. Start it through
@@ -16,6 +17,7 @@ JSON result; everything else goes to standard error. Start it through
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import re
@@ -32,10 +34,9 @@ ROOT = os.path.dirname(HERE)
 SCRATCH = os.path.join(ROOT, ".lakebench_tmp")
 TRACE_DIR = os.path.join(ROOT, ".lakebench_trace")
 OBJECT_STORE_BYTES = 512 << 20
-# Ray puts unix sockets under its temp dir; their paths must stay < 108 bytes
-_MAX_RAY_TEMP_LEN = 40
 REAP_GRACE_S = 10.0
-PASSES = 3  # passes over the other phases' operations; figures are medians
+# rounds of another phase's operations a run makes for its figures
+PASSES = {"encode": 5, "scan": 5, "exchange": 1}
 WORKLOADS = ("encode", "scan", "exchange")  # lifecycle.PHASES
 
 
@@ -121,17 +122,6 @@ class ProcessWatch:
         return left
 
 
-def ray_temp_dir(run_dir: str) -> tuple[str, bool]:
-    """A private temp dir for Ray: inside the run's scratch dir when that
-    path is short enough for Ray's socket names, else a fresh dir in the
-    system temp dir. Returns (path, owned_outside_scratch)."""
-    inside = os.path.join(run_dir, "ray")
-    if len(inside) <= _MAX_RAY_TEMP_LEN:
-        os.makedirs(inside)
-        return inside, False
-    return tempfile.mkdtemp(prefix="lakebench-ray-"), True
-
-
 def start_ray(ncpu: int, temp_dir: str) -> None:
     import logging
 
@@ -145,11 +135,6 @@ def start_ray(ncpu: int, temp_dir: str) -> None:
         log_to_driver=False,
         logging_level="ERROR",
         _temp_dir=temp_dir,
-        # keep idle workers: the program's tasks carry a runtime_env and so
-        # run in their own worker pool beside Ray Data's; with Ray's default
-        # idle-worker killing the two pools evict each other on a small
-        # host and every operation pays worker start-up (see README)
-        _system_config={"kill_idle_workers_interval_ms": 0},
     )
     from ray.data import DataContext
 
@@ -169,6 +154,12 @@ def import_program():
         raise ImportError(f"orc_format_ray imported from {where}, not from {ROOT}")
 
 
+def worker_starts(ray_dir: str) -> int:
+    """Python worker processes the Ray session has started so far: each
+    writes its own core-worker log."""
+    return len(glob.glob(os.path.join(ray_dir, "session_latest", "logs", "python-core-worker-*.log")))
+
+
 def end_to_end(lc, setup_s: float, peak_bytes: int) -> dict:
     m = lc.median
     mtok = lc.tokens / 1e6
@@ -182,10 +173,6 @@ def end_to_end(lc, setup_s: float, peak_bytes: int) -> dict:
         "projected_scan_s": (m("projected_scan"), "s"),
         "filtered_scan_s": (m("filtered_scan"), "s"),
         "pushdown_agg_s": (m("pushdown_agg"), "s"),
-        "join_s": (m("join"), "s"),
-        "aggregate_s": (m("aggregate"), "s"),
-        "string_key_aggregate_s": (m("string_key_aggregate"), "s"),
-        "vocab_histogram_s": (m("vocab_histogram"), "s"),
     }
 
 
@@ -216,7 +203,7 @@ def main(argv: list[str]) -> int:
     ncpu = cpu_count()
     run_dir = os.path.join(SCRATCH, f"run-{os.getpid()}")
     watch = None
-    ray_dir, ray_dir_outside = None, False
+    ray_dir = None
     try:
         import_program()
         import lifecycle
@@ -226,13 +213,14 @@ def main(argv: list[str]) -> int:
         watch.start()
         shutil.rmtree(run_dir, ignore_errors=True)
         os.makedirs(run_dir)
-        ray_dir, ray_dir_outside = ray_temp_dir(run_dir)
+        # the system temp dir keeps Ray's unix socket paths short
+        ray_dir = tempfile.mkdtemp(prefix="lakebench-ray-")
         start_ray(ncpu, ray_dir)
         lc = lifecycle.Lifecycle(os.path.join(run_dir, "work"), args.seed, ncpu, traced=bool(args.trace))
         lc.prepare()
     except Exception as e:  # set-up failure: one line naming the cause
         print(f"lakebench: set-up failed: {_one_line(e)} [interpreter {sys.executable}]", file=sys.stderr, flush=True)
-        _teardown(watch, run_dir, ray_dir, ray_dir_outside)
+        _teardown(watch, run_dir, ray_dir)
         return 1
 
     attempted = failed = 0
@@ -255,36 +243,34 @@ def main(argv: list[str]) -> int:
             return
         attempted += in_loop
 
-    def passes(phases) -> None:
-        for phase in phases:
-            for op in lifecycle.PHASES[phase]:
-                if op not in lifecycle.LOOP_ONLY:
-                    attempt(op, in_loop=False)
-
-    # the last step of set-up: every read and exchange operation once, so
-    # that workers have imported and loaded what each one runs before
-    # anything is timed (the set-up encodes already warmed the encode path)
-    passes(["scan", "exchange"])
-    lc.samples.clear()
-    lc.layer.clear()
     setup_s = time.time() - t_start
-    t_passes = time.perf_counter()
-    # passes over the other phases' operations, for their figures
-    others = [p for p in lifecycle.PHASES if p != args.workload]
-    for _ in range(PASSES):
-        passes(others)
-
-    # the closed loop: whole rounds of this phase's operations
-    t_loop = time.perf_counter()
-    rounds = 0
-    while True:
-        for op in lifecycle.ROUNDS[args.workload]:
-            attempt(op)
-        rounds += 1
-        if time.perf_counter() - t_loop >= args.seconds:
-            break
-    loop_s = time.perf_counter() - t_loop
-    passes_s = t_loop - t_passes
+    starts_before = worker_starts(ray_dir)
+    measured_ops = 0
+    # every phase in lifecycle order: this workload's phase as a closed loop
+    # of whole rounds until --seconds have passed, the others for a fixed
+    # number of rounds, for their figures (a plain run skips the phases
+    # whose figures are per-layer only)
+    t_measure = time.perf_counter()
+    for phase in lifecycle.PHASES:
+        if phase == args.workload:
+            t_loop = time.perf_counter()
+            rounds = 0
+            while True:
+                for op in lifecycle.PHASES[phase]:
+                    attempt(op)
+                rounds += 1
+                if time.perf_counter() - t_loop >= args.seconds:
+                    break
+            loop_s = time.perf_counter() - t_loop
+            measured_ops += rounds * len(lifecycle.PHASES[phase])
+        elif args.trace or phase not in lifecycle.UNBOUNDED:
+            for _ in range(PASSES[phase]):
+                for op in lifecycle.PHASES[phase]:
+                    if op not in lifecycle.LOOP_ONLY:
+                        attempt(op, in_loop=False)
+                        measured_ops += 1
+    measure_s = time.perf_counter() - t_measure
+    starts_per_op = (worker_starts(ray_dir) - starts_before) / measured_ops
     watch.sample()
 
     metrics: dict = {}
@@ -292,24 +278,24 @@ def main(argv: list[str]) -> int:
         if args.trace:
             import spans
 
-            metrics = spans.per_layer(lc, TRACE_DIR, f"{args.workload}-seed{args.seed}-{os.getpid()}")
+            metrics = spans.per_layer(lc, TRACE_DIR, f"{args.workload}-seed{args.seed}-{os.getpid()}", starts_per_op)
         else:
             metrics = end_to_end(lc, setup_s, watch.peak_bytes)
     except Exception as e:
         print(f"lakebench: metrics could not be computed: {_one_line(e)}", file=sys.stderr, flush=True)
         traceback.print_exc(file=sys.stderr)
-        _teardown(watch, run_dir, ray_dir, ray_dir_outside)
+        _teardown(watch, run_dir, ray_dir)
         return 1
     for op, xs in sorted(lc.samples.items()):
         print(f"lakebench: {op}: {len(xs)} samples, median {statistics.median(xs):.4f} s, min {min(xs):.4f}, max {max(xs):.4f}", file=sys.stderr)
     print(
         f"lakebench: {args.workload} seed {args.seed}: {rounds} rounds in {loop_s:.1f} s, "
-        f"set-up {setup_s:.1f} s, passes {passes_s:.1f} s, checks {lc.check_s:.1f} s, {ncpu} cpus, load {os.getloadavg()[0]:.2f}",
+        f"set-up {setup_s:.1f} s, all phases {measure_s:.1f} s, {starts_per_op:.3f} worker starts per op, checks {lc.check_s:.1f} s, {ncpu} cpus, load {os.getloadavg()[0]:.2f}",
         file=sys.stderr,
         flush=True,
     )
     t_down = time.perf_counter()
-    _teardown(watch, run_dir, ray_dir, ray_dir_outside)
+    _teardown(watch, run_dir, ray_dir)
     print(f"lakebench: teardown {time.perf_counter() - t_down:.1f} s", file=sys.stderr, flush=True)
     result = {
         "correct": correct,
@@ -322,7 +308,7 @@ def main(argv: list[str]) -> int:
     return 0
 
 
-def _teardown(watch, run_dir: str, ray_dir, ray_dir_outside: bool) -> None:
+def _teardown(watch, run_dir: str, ray_dir) -> None:
     """Stop Ray and every process it started; leftovers go to stderr."""
     try:
         import ray
@@ -336,7 +322,7 @@ def _teardown(watch, run_dir: str, ray_dir, ray_dir_outside: bool) -> None:
         for left in watch.reap(REAP_GRACE_S):
             print(f"lakebench: killed a process still alive {REAP_GRACE_S:.0f} s after Ray shut down: {left}", file=sys.stderr, flush=True)
     shutil.rmtree(run_dir, ignore_errors=True)
-    if ray_dir_outside and ray_dir:
+    if ray_dir:
         shutil.rmtree(ray_dir, ignore_errors=True)
 
 

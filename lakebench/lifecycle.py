@@ -42,20 +42,17 @@ PHASES = {
 # operations that give no end-to-end figure; they run only in their own
 # phase's closed loop
 LOOP_ONLY = ("date_key_aggregate",)
-# one round of each workload's closed loop: the exchange round runs its
-# sub-second operations twice, so their medians rest on more samples than
-# the costly value count leaves room for in a short loop
-ROUNDS = {
-    **PHASES,
-    "exchange": ("join", "aggregate", "string_key_aggregate", "date_key_aggregate", "vocab_histogram")
-    + ("join", "aggregate", "string_key_aggregate", "date_key_aggregate"),
-}
+# phases whose operations give no end-to-end figure: under Ray's default
+# idle-worker killing their times swing several-fold from call to call, so
+# they are per-layer figures of traced runs and of their own workload
+UNBOUNDED = ("exchange",)
 
 CORPUS_DOCS = 2500  # ~4.1M tokens
 CORPUS_SHARDS = 8
 PARTITIONS = 16  # byte budget = corpus token bytes / PARTITIONS
 SMALL_DOCS = 30  # ~48k tokens and no outlier: the value-count lake
 SMALL_SHARDS = 4  # length buckets (files) of the value-count corpus
+SMALL_PARTITIONS = 8  # its byte budget = its token bytes / SMALL_PARTITIONS
 N_ORDERS = 50_000  # ~200k lineitem rows
 FILTER_SHARD = 4  # the n_tok predicate keeps length buckets 0..FILTER_SHARD
 PROJECTED = ["doc_id", "n_tok", "source"]
@@ -137,9 +134,8 @@ class Lifecycle:
         small_flat = small["tokens"].combine_chunks().flatten().to_numpy()
         self.small_hist = np.bincount(small_flat, minlength=gen.VOCAB)
         self.small_lake = os.path.join(w, "small_lake")
-        # one stripe: with several, Ray's sort-shuffle splits the cells
-        # unevenly between reducers in a way that moves with the seed
-        enc.encode_dataset(small_paths, self.small_lake, budget_bytes=4 * len(small_flat), resume=False)
+        # several stripes, so the groupby merges per-stripe cells
+        enc.encode_dataset(small_paths, self.small_lake, budget_bytes=4 * len(small_flat) // SMALL_PARTITIONS, resume=False)
 
         lineitem, orders = gen.tpch(self.seed, N_ORDERS)
         self.li_paths = gen.write_parts(lineitem, os.path.join(w, "lineitem"), "lineitem", 4)

@@ -245,7 +245,7 @@ def _block_shape(rows_runs: list[list[int]]) -> tuple[int, float]:
     return len(rows), (max(nonempty) / med if med else 0.0)
 
 
-def per_layer(lc, trace_dir: str, tag: str) -> dict:
+def per_layer(lc, trace_dir: str, tag: str, worker_starts_per_op: float) -> dict:
     from orc_format_ray.reference_orc import reference_encoded_size
 
     med = statistics.median
@@ -301,6 +301,8 @@ def per_layer(lc, trace_dir: str, tag: str) -> dict:
         m[f"{prefix}.call_s"] = (lc.median(op), "s")
         m[f"{prefix}.output_blocks"] = (blocks, "count")
         m[f"{prefix}.block_rows_max_over_median"] = (skew, "ratio")
+    m["pipelines.value_counts.call_s"] = (lc.median("vocab_histogram"), "s")
+    m["ray.worker_starts_per_op"] = (worker_starts_per_op, "1/op")
     m["trace.overhead_s"] = (span_cost() * len(tracer.spans), "s")
     tracer.dump(os.path.join(trace_dir, f"spans-{tag}.json"), {k: v for k, (v, _u) in m.items()})
     return m
