@@ -45,10 +45,11 @@ PHASES = {
 LOOP_ONLY = ("date_key_aggregate",)
 # phases whose operations give no end-to-end figure: under Ray's default
 # idle-worker killing their times swing several-fold from call to call, so
-# they are per-layer figures of traced runs and of their own workload
+# they are per-layer figures only, and a plain run of another workload
+# skips them
 UNBOUNDED = ("exchange",)
 
-CORPUS_DOCS = 2500  # ~4.1M tokens
+CORPUS_DOCS = 2500  # ~4.35M tokens
 CORPUS_SHARDS = 8
 PARTITIONS = 16  # byte budget = corpus token bytes / PARTITIONS
 SMALL_DOCS = 30  # ~48k tokens and no outlier: the value-count lake
