@@ -21,7 +21,7 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0))))
 BENCH_ROWS = int(os.environ.get("BENCH_ROWS", "60000"))
 CORPUS_DIR = os.environ.get("BENCH_CORPUS_DIR", f"/tmp/orc_bench_corpus_{BENCH_ROWS}")
 

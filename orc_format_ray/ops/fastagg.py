@@ -4,23 +4,18 @@ Ray Data's ``groupby().aggregate()`` runs a sort-based all-to-all whose
 fixed overhead is ~4-6 s per call at 32 cpus regardless of input size
 (boundary sampling + per-block sort + reduce scheduling) — the dominant
 constant in the TPC-H composite, where a 600k-row SUM groupby costs 4 s
-that DuckDB does in 0.05 s. This module replaces it, for BOUNDED bucket
-counts, with the same two-wave raw task exchange `ops/join.py` uses:
+that DuckDB does in 0.05 s. This module runs grouped folds over the hash
+exchange in `ops/exchange.py` instead:
 
   1. map_batches: per-batch partial aggregate (the combiner — shrinks rows
-     to |groups-per-batch|), bucket rows by key hash, emit (bucket, blob)
-     Arrow-IPC rows;
-  2. one split task per tagged block (num_returns=B objects — a bucket
-     task fetches exactly its bytes, no amplification);
-  3. one reduce task per bucket: concat partials, ONE pyarrow group_by
-     fold, rename to the requested aliases.
+     to |groups-per-batch|), then ``exchange.tag``;
+  2. ``exchange.shuffle``: one reduce per bucket concatenates the partials,
+     runs ONE pyarrow group_by fold and renames to the requested aliases.
 
 Measured 0.4 s warm for the same 600k-row groupby — 10x under the Dataset
-machinery. Falls back to Ray's groupby (same result, slower constant) when
-the bucket count exceeds ``_RAW_EXCHANGE_MAX_BUCKETS`` (the sort shuffle's
-scalability wins once its constant amortizes over >8 GB inputs), when the
-driver-side (blocks x buckets) ref fan-out exceeds its bound, or when a
-key column is neither int64-castable nor string (float/nested keys).
+machinery. Past the exchange's bucket or ref bounds, ``shuffle``'s one
+fallback runs the same reduce over the same tagged blocks. Float and nested
+keys, which ``exchange.key_hash`` does not take, keep Ray's groupby.
 
 Fold correctness: sum/count fold by addition, min/max by min/max — all
 associative and layout-invariant, so the result is bit-identical to Ray's
@@ -31,11 +26,11 @@ own).
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .._rayutil import remote_args
-from .join import _RAW_EXCHANGE_MAX_BUCKETS, _bucket_of, _ipc_bytes, _ipc_table
+from .exchange import auto_buckets, hashable, shuffle, tag, unpack
 
 # aggregate fn -> (partial arrow fn, outer fold arrow fn)
 _FOLDS = {
@@ -47,151 +42,72 @@ _FOLDS = {
 }
 
 
-def _key_hash_col(col) -> np.ndarray:
-    """Deterministic uint64 hash of one key column. Strings hash their
-    DICTIONARY (blake2b per unique value — the per-row cost is a gather);
-    ints/dates/timestamps hash their int64 value; nulls map to a fixed
-    sentinel (both arrow group_by and Ray groupby keep null groups)."""
-    import pyarrow.compute as pc
-
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    t = col.type
-    if pa.types.is_string(t) or pa.types.is_large_string(t):
-        import hashlib
-
-        d = col.dictionary_encode()
-        uniq = d.dictionary.to_pylist()
-        uh = np.array(
-            [int.from_bytes(hashlib.blake2b(s.encode(), digest_size=8).digest(), "little") for s in uniq],
-            dtype=np.uint64,
-        ) if uniq else np.zeros(0, dtype=np.uint64)
-        idx = pc.fill_null(d.indices, -1).to_numpy(zero_copy_only=False).astype(np.int64)
-        out = np.full(len(idx), np.uint64(0x9E3779B97F4A7C15), dtype=np.uint64)
-        m = idx >= 0
-        out[m] = uh[idx[m]]
-        return out
-    try:
-        v = col.cast(pa.int64())
-    except pa.ArrowInvalid:  # date32 needs the two-step cast
-        v = col.cast(pa.int32()).cast(pa.int64())
-    v = pc.fill_null(v, np.iinfo(np.int64).min + 7)
-    return v.to_numpy(zero_copy_only=False).astype(np.int64).view(np.uint64)
-
-
-def _combined_hash(tbl: pa.Table, keys: list[str]) -> np.ndarray:
-    """Order-sensitive combined int64 hash of the key columns."""
-    h = np.zeros(len(tbl), dtype=np.uint64)
-    for i, k in enumerate(keys):
-        col = _key_hash_col(tbl[k])
-        # wrap the per-key salt in Python ints (numpy warns on intended
-        # uint64 scalar wraparound; array ops wrap silently)
-        salt = np.uint64((0x9E3779B97F4A7C15 * (i + 1)) % (1 << 64))
-        h ^= (col + salt) * np.uint64(0xC2B2AE3D27D4EB4F)
-        h ^= h >> np.uint64(29)
-    return h.view(np.int64)
-
-
 def hash_aggregate(ds, keys, aggs, num_buckets: int | None = None):
-    """Grouped aggregation via the raw task exchange.
+    """Grouped aggregation via the hash exchange.
 
     ``keys``: str or list of str — int/date/timestamp/string keys take the
-    fast path (strings hash their dictionary); float or nested keys fall
-    back to Ray's groupby. ``aggs``: list of
-    ``(col, fn, alias)`` with fn in sum|min|max|count|count_all (count =
-    non-null count of col; count_all = row count, col ignored). Returns a
-    Dataset of keys + aliases, same rows as ``ds.groupby(keys).aggregate``.
+    exchange (strings hash their dictionary); float or nested keys run Ray's
+    groupby. ``aggs``: list of ``(col, fn, alias)`` with fn in
+    sum|min|max|count|count_all (count = non-null count of col; count_all =
+    row count, col ignored). Returns a Dataset of keys + aliases, same rows
+    as ``ds.groupby(keys).aggregate``.
     """
-    import ray
-    import ray.data as rd
-
     keys = [keys] if isinstance(keys, str) else list(keys)
     specs = [(c, f, a) for (c, f, a) in aggs]
     for _c, f, _a in specs:
         if f not in _FOLDS:
             raise ValueError(f"unsupported aggregate fn {f!r}; have {sorted(_FOLDS)}")
-    if num_buckets is None:
-        import math
-
-        from .join import _BUCKET_MEM_BUDGET, _JOIN_EXPANSION, _estimate_bytes
-
-        est = _estimate_bytes(ds) or 0
-        num_buckets = min(4096, max(4, math.ceil(est * _JOIN_EXPANSION / _BUCKET_MEM_BUDGET))) if est else 8
-
-    # key-type probe (schema-level): ints/dates/timestamps/strings take the
-    # fast path (see _key_hash_col); anything else (float keys, nested)
-    # falls back to Ray's groupby
-    try:
-        schema = ds.schema()
-        for k in keys:
-            t = schema.base_schema.field(k).type if hasattr(schema, "base_schema") else schema.field(k).type
-            if not (pa.types.is_integer(t) or pa.types.is_date(t) or pa.types.is_timestamp(t)
-                    or pa.types.is_string(t) or pa.types.is_large_string(t)):
-                num_buckets = _RAW_EXCHANGE_MAX_BUCKETS + 1  # force fallback
-                break
-    except Exception:  # noqa: BLE001 — schema probe is best-effort
-        pass
-
-    if num_buckets > _RAW_EXCHANGE_MAX_BUCKETS:
+    if not hashable(ds, keys):
         return _fallback_groupby(ds, keys, specs)
+    if num_buckets is None:
+        num_buckets = auto_buckets(ds, floor=4, unknown=8)
 
     part_names = [f"__fa_p{j}" for j in range(len(specs))]
-
-    def tag(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return pa.table({"_bucket": pa.array([], pa.int64()), "blob": pa.array([], pa.large_binary())})
-        plan = [(([] if _FOLDS[f][0] == "count_all" else c), _FOLDS[f][0]) for c, f, _ in specs]
-        g = batch.group_by(keys).aggregate(plan)
-        # arrow emits the key columns, then agg columns in plan order
-        g = g.rename_columns(keys + part_names)
-        kh = _combined_hash(g, keys)
-        b = (kh.view(np.uint64) % np.uint64(num_buckets)).astype(np.int64)
-        order = np.argsort(b, kind="stable")
-        bs = b[order]
-        cuts = np.flatnonzero(np.diff(bs)) + 1
-        starts = np.concatenate(([0], cuts))
-        ends = np.concatenate((cuts, [len(bs)]))
-        sb = g.take(pa.array(order, type=pa.int64()))
-        bko, blobs = [], []
-        for s, e in zip(starts, ends):
-            if e == s:
-                continue
-            bko.append(int(bs[s]))
-            blobs.append(_ipc_bytes(sb.slice(s, e - s)))
-        return pa.table({"_bucket": pa.array(bko, pa.int64()), "blob": pa.array(blobs, pa.large_binary())})
-
-    tagged = ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True, **remote_args()).materialize()
-    refs = []
-    for bundle in tagged.iter_internal_ref_bundles():
-        refs.extend(bundle.block_refs)
-    if not refs:
-        return rd.from_arrow(pa.table({}))
-    from .join import _RAW_EXCHANGE_MAX_REFS
-
-    if len(refs) * num_buckets > _RAW_EXCHANGE_MAX_REFS:
-        # ref fan-out exceeds the driver bound — the sort-shuffle's
-        # constant amortizes at this scale anyway
-        return _fallback_groupby(ds, keys, specs)
-
-    split = ray.remote(**remote_args())(_fa_split_task)
-    cols = [split.options(num_returns=num_buckets).remote(r, num_buckets) for r in refs]
-    if num_buckets == 1:
-        cols = [[c] for c in cols]
-    reduce_t = ray.remote(**remote_args())(_fa_reduce_task)
+    plan = [(([] if _FOLDS[f][0] == "count_all" else c), _FOLDS[f][0]) for c, f, _ in specs]
+    tagged = ds.map_batches(_combine_and_tag, fn_args=(keys, plan, part_names, num_buckets),
+                            batch_format="pyarrow", zero_copy_batch=True, **remote_args())
     fold_plan = [(part_names[j], _FOLDS[f][1]) for j, (_c, f, _a) in enumerate(specs)]
-    aliases = [a for _c, _f, a in specs]
-    outs = [
-        reduce_t.remote(keys, fold_plan, aliases, *[c[b] for c in cols])
-        for b in range(num_buckets)
-    ]
-    return rd.from_arrow_refs(outs)
+    return shuffle(tagged, num_buckets, _fold_bucket, keys, fold_plan, [a for _c, _f, a in specs])
+
+
+def _group_by(tbl: pa.Table, keys, plan) -> pa.Table:
+    """``tbl.group_by(keys).aggregate(plan)``: the key columns, then the agg
+    columns in plan order. pyarrow 16's multi-key grouper splits a group when
+    nullable keys of different types meet (3000 rows of two 13-value keys
+    gave ~900 groups, not 169), so the grouping runs on zero-filled copies of
+    the keys plus one int8 null flag each, and the nulls come back after."""
+    if len(keys) == 1 or not any(tbl[k].null_count for k in keys):
+        return tbl.group_by(keys).aggregate(plan)
+    n = len(keys)
+    filled, flags = [f"__key{i}" for i in range(n)], [f"__null{i}" for i in range(n)]
+    for k, kf, f in zip(keys, filled, flags):  # the originals stay for the aggs
+        c = tbl[k]
+        zero = pa.scalar(0, pa.int32()).cast(c.type) if pa.types.is_date32(c.type) else pa.scalar(0).cast(c.type)
+        tbl = tbl.append_column(kf, pc.fill_null(c, zero)).append_column(f, pc.is_null(c).cast(pa.int8()))
+    g = tbl.group_by(filled + flags).aggregate(plan)
+    restored = [pc.if_else(pc.equal(g[f], 1), pa.scalar(None, g[kf].type), g[kf]) for kf, f in zip(filled, flags)]
+    return pa.table(restored + g.columns[2 * n:], names=keys + g.column_names[2 * n:])
+
+
+def _combine_and_tag(batch: pa.Table, keys, plan, part_names, num_buckets) -> pa.Table:
+    if len(batch):
+        batch = _group_by(batch, keys, plan).rename_columns(keys + part_names)
+    return tag(batch, keys, num_buckets)
+
+
+def _fold_bucket(parts, keys, fold_plan, aliases) -> pa.Table:
+    tbls = unpack(parts)
+    if not tbls:
+        return pa.table({})
+    return _group_by(pa.concat_tables(tbls), keys, fold_plan).rename_columns(keys + aliases)
 
 
 def fast_groupby(ds, keys, *agg_objs, num_buckets: int | None = None):
     """Drop-in for ``ds.groupby(keys).aggregate(*agg_objs)`` taking Ray's
-    Sum/Min/Max/Count aggregate objects, routed through ``hash_aggregate``
-    (raw exchange when eligible; Ray's groupby otherwise). Row-identical to
-    the Dataset call by the associative-fold argument."""
+    Sum/Min/Max/Count aggregate objects, routed through ``hash_aggregate``.
+    ``Count(on=c)`` keeps Ray's ``ignore_nulls`` meaning: False counts rows,
+    True counts non-null values of c. Row-identical to the Dataset call by
+    the associative-fold argument."""
     from ray.data.aggregate import Count, Max, Min, Sum
 
     fn_of = {Sum: "sum", Min: "min", Max: "max"}
@@ -199,7 +115,8 @@ def fast_groupby(ds, keys, *agg_objs, num_buckets: int | None = None):
     for o in agg_objs:
         if isinstance(o, Count):
             col = o._target_col_name
-            specs.append((col, "count", o.name) if col is not None else (None, "count_all", o.name))
+            fn = "count" if col is not None and o._ignore_nulls else "count_all"
+            specs.append((col, fn, o.name))
         elif type(o) in fn_of:
             specs.append((o._target_col_name, fn_of[type(o)], o.name))
         else:  # unknown aggregate type: keep Ray's semantics exactly
@@ -209,91 +126,31 @@ def fast_groupby(ds, keys, *agg_objs, num_buckets: int | None = None):
 
 
 def fast_map_groups(ds, keys, fn, num_buckets: int | None = None):
-    """Raw-exchange ``ds.groupby(keys).map_groups(fn, batch_format="pandas")``:
-    rows bucket by key hash into IPC blobs (NO combiner — groups need whole
-    rows), one split task per block, one reduce task per bucket running the
-    per-group pandas fn over its complete groups. Hash partitioning
-    guarantees group completeness; within-group row order is unspecified on
-    BOTH paths (Ray Data doctrine), so any fn legal under Ray's map_groups
-    is legal here. fn may return a DataFrame or an Arrow table; outputs
-    become Arrow blocks. Falls back to Ray's map_groups for float/nested
-    keys or when the ref fan-out exceeds the driver bound."""
-    import ray
-    import ray.data as rd
-
+    """Hash-exchange ``ds.groupby(keys).map_groups(fn, batch_format="pandas")``:
+    rows move by key hash with NO combiner (groups need whole rows), and one
+    reduce per bucket runs the per-group pandas fn over its complete groups.
+    Hash partitioning guarantees group completeness; within-group row order
+    is unspecified on BOTH paths (Ray Data doctrine), so any fn legal under
+    Ray's map_groups is legal here. fn may return a DataFrame or an Arrow
+    table; outputs become Arrow blocks. Float/nested keys run Ray's
+    map_groups."""
     keys = [keys] if isinstance(keys, str) else list(keys)
-    if num_buckets is None:
-        from .join import _BUCKET_MEM_BUDGET, _JOIN_EXPANSION, _estimate_bytes
-        import math
-
-        est = _estimate_bytes(ds) or 0
-        num_buckets = min(4096, max(4, math.ceil(est * _JOIN_EXPANSION / _BUCKET_MEM_BUDGET))) if est else 8
-
-    def _fallback():
-        gb = ds.groupby(keys[0] if len(keys) == 1 else keys)
-        out = gb.map_groups(fn, batch_format="pandas", **remote_args())
+    if not hashable(ds, keys):
+        out = ds.groupby(keys[0] if len(keys) == 1 else keys).map_groups(
+            fn, batch_format="pandas", **remote_args())
         # normalize to arrow blocks (mixed-lineage union rule downstream)
         return out.map_batches(lambda b: b, batch_format="pyarrow", **remote_args())
-
-    try:
-        schema = ds.schema()
-        for k in keys:
-            t = schema.base_schema.field(k).type if hasattr(schema, "base_schema") else schema.field(k).type
-            if not (pa.types.is_integer(t) or pa.types.is_date(t) or pa.types.is_timestamp(t)
-                    or pa.types.is_string(t) or pa.types.is_large_string(t)):
-                return _fallback()
-    except Exception:  # noqa: BLE001
-        pass
-    if num_buckets > _RAW_EXCHANGE_MAX_BUCKETS:
-        return _fallback()
-
-    def tag(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0 or any(k not in batch.column_names for k in keys):
-            return pa.table({"_bucket": pa.array([], pa.int64()), "blob": pa.array([], pa.large_binary())})
-        kh = _combined_hash(batch, keys)
-        b = (kh.view(np.uint64) % np.uint64(num_buckets)).astype(np.int64)
-        order = np.argsort(b, kind="stable")
-        bs = b[order]
-        cuts = np.flatnonzero(np.diff(bs)) + 1
-        starts = np.concatenate(([0], cuts))
-        ends = np.concatenate((cuts, [len(bs)]))
-        sb = batch.take(pa.array(order, type=pa.int64()))
-        bko, blobs = [], []
-        for s, e in zip(starts, ends):
-            if e == s:
-                continue
-            bko.append(int(bs[s]))
-            blobs.append(_ipc_bytes(sb.slice(s, e - s)))
-        return pa.table({"_bucket": pa.array(bko, pa.int64()), "blob": pa.array(blobs, pa.large_binary())})
-
-    tagged = ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True, **remote_args()).materialize()
-    refs = []
-    for bundle in tagged.iter_internal_ref_bundles():
-        refs.extend(bundle.block_refs)
-    if not refs:
-        return rd.from_arrow(pa.table({}))
-    from .join import _RAW_EXCHANGE_MAX_REFS
-
-    if len(refs) * num_buckets > _RAW_EXCHANGE_MAX_REFS:
-        return _fallback()
-
-    split = ray.remote(**remote_args())(_fa_split_task)
-    cols = [split.options(num_returns=num_buckets).remote(r, num_buckets) for r in refs]
-    if num_buckets == 1:
-        cols = [[c] for c in cols]
-    reduce_t = ray.remote(**remote_args())(_fmg_reduce_task)
-    outs = [reduce_t.remote(keys, fn, *[c[b] for c in cols]) for b in range(num_buckets)]
-    return rd.from_arrow_refs(outs)
+    if num_buckets is None:
+        num_buckets = auto_buckets(ds, floor=4, unknown=8)
+    tagged = ds.map_batches(tag, fn_args=(keys, num_buckets), batch_format="pyarrow",
+                            zero_copy_batch=True, **remote_args())
+    return shuffle(tagged, num_buckets, _map_groups_bucket, keys, fn)
 
 
-def _fmg_reduce_task(keys, fn, *parts):
+def _map_groups_bucket(parts, keys, fn) -> pa.Table:
     import pandas as pd
 
-    tbls = []
-    for p in parts:
-        if p is None:
-            continue
-        tbls.extend(_ipc_table(b) for b in p["blob"].to_pylist())
+    tbls = unpack(parts)
     if not tbls:
         return pa.table({})
     df = pa.concat_tables(tbls).to_pandas()
@@ -308,39 +165,16 @@ def _fmg_reduce_task(keys, fn, *parts):
     return pa.Table.from_pandas(pd.concat(outs, ignore_index=True), preserve_index=False)
 
 
-def _fa_split_task(blk: pa.Table, num_buckets: int):
-    if len(blk) == 0 or "_bucket" not in blk.column_names:
-        # Ray passes empty input blocks through map_batches unchanged
-        return None if num_buckets == 1 else tuple([None] * num_buckets)
-    bc = blk["_bucket"].to_numpy(zero_copy_only=False)
-    outs = []
-    for b in range(num_buckets):
-        m = bc == b
-        outs.append(blk.filter(pa.array(m)) if m.any() else None)
-    return outs[0] if num_buckets == 1 else tuple(outs)
-
-
-def _fa_reduce_task(keys, fold_plan, aliases, *parts):
-    tbls = []
-    for p in parts:
-        if p is None:
-            continue
-        tbls.extend(_ipc_table(b) for b in p["blob"].to_pylist())
-    if not tbls:
-        return pa.table({})
-    u = pa.concat_tables(tbls)
-    g = u.group_by(keys).aggregate(fold_plan)
-    return g.rename_columns(keys + aliases)
-
-
 def _fallback_groupby(ds, keys, specs):
-    """Ray Dataset groupby — same result, the amortizing constant."""
+    """Ray Dataset groupby for keys the exchange cannot hash."""
     from ray.data.aggregate import Count, Max, Min, Sum
 
     mk = {"sum": Sum, "min": Min, "max": Max}
     objs = []
     for c, f, a in specs:
-        if f in ("count", "count_all"):
+        if f == "count":
+            objs.append(Count(c, ignore_nulls=True, alias_name=a))
+        elif f == "count_all":
             objs.append(Count(alias_name=a))
         else:
             objs.append(mk[f](c, alias_name=a))

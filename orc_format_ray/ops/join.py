@@ -9,19 +9,22 @@ engine needs them, and at 100 TB the join strategy IS the scale story:
   the small side ships once per node (plasma dedups per-node), not per batch.
   This is the right plan whenever one side fits in memory (TPC-H dimensions,
   vocab tables, survivor sets).
-* `hash_join` — both sides large: pre-partition both by key hash into B
-  buckets (one shuffle each), then join bucket-by-bucket inside
-  `map_groups`. Use only when neither side fits; prefer pre-bucketing the
-  stored layout so repeated joins reuse the partitioning.
+* `hash_join` — both sides large: move both by key hash into B buckets
+  over the hash exchange (`ops/exchange.py`), then join bucket-by-bucket.
+  Use only when neither side fits; prefer pre-bucketing the stored layout
+  so repeated joins reuse the partitioning.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from .._rayutil import pool_size, remote_args
+from .exchange import auto_buckets, combined_hash, shuffle, tag, unpack
 
 
 class _BroadcastProbe:
@@ -187,48 +190,6 @@ def range_join_broadcast(big_ds, bands: pa.Table, value_col: str, lo_col: str = 
     )
 
 
-def _ipc_bytes(tbl: pa.Table) -> bytes:
-    import io
-
-    sink = io.BytesIO()
-    with pa.ipc.new_stream(sink, tbl.schema) as w:
-        w.write_table(tbl)
-    return sink.getvalue()
-
-
-def _ipc_table(blob: bytes) -> pa.Table:
-    return pa.ipc.open_stream(pa.BufferReader(blob)).read_all()
-
-
-def _bucket_of(keys: np.ndarray, num_buckets: int) -> np.ndarray:
-    return ((keys.astype(np.int64).view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(32)).astype(np.int64) % num_buckets
-
-
-def _split_ipc_rows(batch: pa.Table, bucket: np.ndarray, side: int) -> pa.Table:
-    """Split a batch into per-bucket Arrow-IPC payload rows with the common
-    (_bucket, _side, blob) schema — the shuffle unit for bucketed joins."""
-    order = np.argsort(bucket, kind="stable")
-    bs = bucket[order]
-    cuts = np.flatnonzero(np.diff(bs)) + 1
-    starts = np.concatenate(([0], cuts))
-    ends = np.concatenate((cuts, [len(bs)]))
-    sorted_batch = batch.take(pa.array(order, type=pa.int64()))
-    bko, sd, blobs = [], [], []
-    for s, e in zip(starts, ends):
-        if e == s:
-            continue
-        bko.append(int(bs[s]))
-        sd.append(side)
-        blobs.append(_ipc_bytes(sorted_batch.slice(s, e - s)))
-    return pa.table(
-        {
-            "_bucket": pa.array(bko, type=pa.int64()),
-            "_side": pa.array(sd, type=pa.int8()),
-            "blob": pa.array(blobs, type=pa.large_binary()),
-        }
-    )
-
-
 def asof_join(left_ds, right_ds, on: str, by: str, suffix: str = "_r",
               right_value_cols: list[str] | None = None,
               direction: str = "backward", tolerance=None):
@@ -248,116 +209,104 @@ def asof_join(left_ds, right_ds, on: str, by: str, suffix: str = "_r",
     matches revert to nulls, mirroring pandas ``merge_asof(tolerance=...)``
     and the SQL ``CASE WHEN dist <= tol`` post-filter.
 
-    Ray Data has no as-of join; this composes one from the bucketed-IPC
-    shuffle (group by the ``by`` key) + per-group sort + searchsorted. The
+    Ray Data has no as-of join; this composes one from the hash exchange
+    (bucket by the ``by`` key) + per-``by``-value sort + searchsorted. The
     right side should be unique on (by, on) — with duplicates the last row
-    in sort order wins, matching no particular engine. Partitioning
-    assumption: one ``by`` group (both sides) fits a worker; pre-bucket by
-    (by, time-range) when a key outgrows that.
+    in sort order wins, matching no particular engine. Null ``by`` values
+    never match. Partitioning assumption: one bucket's rows (both sides) fit
+    a worker; pre-bucket by (by, time-range) when a key outgrows that.
     """
-    import pandas as pd
-
     if direction not in ("backward", "forward", "nearest"):
         raise ValueError(f"direction must be backward/forward/nearest, got {direction!r}")
-
-    def tag(side: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            k = batch[by].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-            return _split_ipc_rows(batch, k, side)
-
-        return fn
-
-    lt = left_ds.map_batches(tag(0), batch_format="pyarrow", zero_copy_batch=True, **remote_args())
-    rt = right_ds.map_batches(tag(1), batch_format="pyarrow", zero_copy_batch=True, **remote_args())
-
-    def join_group(g: pd.DataFrame) -> pd.DataFrame:
-        lg = [_ipc_table(b) for b in g.loc[g["_side"] == 0, "blob"]]
-        if not lg:
-            return pd.DataFrame()
-        ldf = pa.concat_tables(lg).to_pandas()
-        rg = [_ipc_table(b) for b in g.loc[g["_side"] == 1, "blob"]]
-        if rg:
-            rdf = pa.concat_tables(rg).to_pandas().sort_values(on, kind="stable").reset_index(drop=True)
-            r_on = rdf[on].to_numpy()
-            l_on = ldf[on].to_numpy()
-            bidx = np.searchsorted(r_on, l_on, side="right") - 1
-            fidx = np.searchsorted(r_on, l_on, side="left")
-            if direction == "backward":
-                idx, matched = bidx, bidx >= 0
-                if tolerance is not None:
-                    dist = l_on - r_on[np.maximum(bidx, 0)]
-                    matched = matched & (dist <= tolerance)
-            elif direction == "forward":
-                matched = fidx < len(r_on)
-                idx = np.minimum(fidx, len(r_on) - 1)
-                if tolerance is not None:
-                    dist = r_on[idx] - l_on
-                    matched = matched & (dist <= tolerance)
-            else:  # nearest: closer |diff| wins, exact tie -> backward
-                has_b = bidx >= 0
-                has_f = fidx < len(r_on)
-                bc = np.maximum(bidx, 0)
-                fc = np.minimum(fidx, len(r_on) - 1)
-                # diffs are only meaningful where the side exists; the
-                # boolean gates below never read the garbage lanes (and no
-                # sentinel keeps datetime64 columns working)
-                diff_b = l_on - r_on[bc]
-                diff_f = r_on[fc] - l_on
-                take_f = (~has_b & has_f) | (has_b & has_f & (diff_f < diff_b))
-                idx = np.where(take_f, fc, bc)
-                matched = has_b | has_f
-                if tolerance is not None:
-                    dist = np.where(take_f, diff_f, diff_b)
-                    matched = matched & (dist <= tolerance)
-            r_cols = [c for c in rdf.columns if c != by]
-            for c in r_cols:
-                name = c if c not in ldf.columns else f"{c}{suffix}"
-                vals = rdf[c].to_numpy()[np.maximum(idx, 0)]
-                out = pd.Series(vals).where(pd.Series(matched)).to_numpy()
-                ldf[name] = out
-        elif right_value_cols:
-            # keep a stable output schema when a group has no right rows
-            for c in right_value_cols:
-                name = c if c not in ldf.columns else f"{c}{suffix}"
-                ldf[name] = pd.Series([pd.NA] * len(ldf), dtype="object")
-        return ldf
-
-    return lt.union(rt).groupby("_bucket").map_groups(join_group, batch_format="pandas", **remote_args())
+    nb = auto_buckets(left_ds, right_ds, floor=8, unknown=64)
+    tagged = [
+        ds.map_batches(tag, fn_args=([by], nb, side), batch_format="pyarrow",
+                       zero_copy_batch=True, **remote_args())
+        for side, ds in enumerate((left_ds, right_ds))
+    ]
+    return shuffle(tagged, nb, _asof_bucket, on, by, suffix, right_value_cols, direction, tolerance)
 
 
-# Auto-sizing knobs (VERDICT r4 #4). File bytes from read metadata expand
-# ~4x when decoded to in-memory Arrow; one bucket's BOTH sides plus the
-# pandas merge output should stay well under a worker's heap share.
-_JOIN_EXPANSION = 4
-_BUCKET_MEM_BUDGET = 128 << 20  # target in-memory bytes per bucket
-_SUBSPLIT_BUDGET = 256 << 20    # in-bucket payload above this sub-splits
-# Small joins bypass the Dataset sort-shuffle entirely (VERDICT r4 #6): the
-# groupby("_bucket").map_groups machinery costs ~5-6 s of fixed overhead per
-# join at 32 cpus (sort sampling + pandas group formation over binary blob
-# rows — measured; the merge itself is <1 s), so up to this many buckets we
-# run a raw two-wave task exchange (split each tagged block into per-bucket
-# objects, then one join task per bucket) — 0.2 s for the same join. Beyond
-# it (auto-sizing implies >8 GB of input) the sort-shuffle's constant
-# amortizes and its scalability wins.
-_RAW_EXCHANGE_MAX_BUCKETS = 64
-_RAW_EXCHANGE_MAX_REFS = 1 << 16  # driver-side (blocks x buckets) ref bound
+def _asof_match(r_on, l_on, direction, tolerance):
+    """Index into the sorted ``r_on`` and a matched mask for each ``l_on``."""
+    bidx = np.searchsorted(r_on, l_on, side="right") - 1
+    fidx = np.searchsorted(r_on, l_on, side="left")
+    if direction == "backward":
+        idx, matched = bidx, bidx >= 0
+        if tolerance is not None:
+            dist = l_on - r_on[np.maximum(bidx, 0)]
+            matched = matched & (dist <= tolerance)
+    elif direction == "forward":
+        matched = fidx < len(r_on)
+        idx = np.minimum(fidx, len(r_on) - 1)
+        if tolerance is not None:
+            dist = r_on[idx] - l_on
+            matched = matched & (dist <= tolerance)
+    else:  # nearest: closer |diff| wins, exact tie -> backward
+        has_b = bidx >= 0
+        has_f = fidx < len(r_on)
+        bc = np.maximum(bidx, 0)
+        fc = np.minimum(fidx, len(r_on) - 1)
+        # diffs are only meaningful where the side exists; the
+        # boolean gates below never read the garbage lanes (and no
+        # sentinel keeps datetime64 columns working)
+        diff_b = l_on - r_on[bc]
+        diff_f = r_on[fc] - l_on
+        take_f = (~has_b & has_f) | (has_b & has_f & (diff_f < diff_b))
+        idx = np.where(take_f, fc, bc)
+        matched = has_b | has_f
+        if tolerance is not None:
+            dist = np.where(take_f, diff_f, diff_b)
+            matched = matched & (dist <= tolerance)
+    return idx, matched
 
 
-def _bucket_join_tables(lg, rg, total_blob, key, how, left_cols, right_cols,
-                        out_order, subsplit_budget):
-    """Join one bucket's decoded sides. Returns a pandas frame, or None for
-    an empty result. Shared by the Dataset map_groups path and the raw
-    task-exchange path — keep them byte-identical."""
-    import math
-
+def _asof_bucket(parts, on, by, suffix, right_value_cols, direction, tolerance) -> pa.Table:
+    """Reduce step of `asof_join`: a bucket holds several ``by`` values, so
+    the searchsorted match runs once per value."""
     import pandas as pd
 
-    if not lg and not rg:  # raw exchange runs a task for EVERY bucket
-        return None
-    if how == "inner" and (not lg or not rg):
-        return None
-    if how == "left" and not lg:
-        return None
+    lg = unpack(parts, 0)
+    if not lg:
+        return pa.table({})
+    ldf = pa.concat_tables(lg).to_pandas()
+    rg = unpack(parts, 1)
+    if rg:
+        rdf = pa.concat_tables(rg).to_pandas().sort_values([by, on], kind="stable").reset_index(drop=True)
+        r_rows = rdf.groupby(by, sort=False).indices  # by value -> contiguous rows
+        r_on_all, l_on_all = rdf[on].to_numpy(), ldf[on].to_numpy()
+        idx = np.zeros(len(ldf), dtype=np.int64)
+        matched = np.zeros(len(ldf), dtype=bool)
+        for v, li in ldf.groupby(by, sort=False).indices.items():
+            ri = r_rows.get(v)
+            if ri is None:
+                continue
+            i, m = _asof_match(r_on_all[ri[0]:ri[-1] + 1], l_on_all[li], direction, tolerance)
+            idx[li] = ri[0] + np.maximum(i, 0)
+            matched[li] = m
+        for c in rdf.columns:
+            if c == by:
+                continue
+            name = c if c not in ldf.columns else f"{c}{suffix}"
+            ldf[name] = pd.Series(rdf[c].to_numpy()[idx]).where(pd.Series(matched)).to_numpy()
+    elif right_value_cols:
+        # keep a stable output schema when a bucket has no right rows
+        for c in right_value_cols:
+            name = c if c not in ldf.columns else f"{c}{suffix}"
+            ldf[name] = pd.Series([pd.NA] * len(ldf), dtype="object")
+    return pa.Table.from_pandas(ldf, preserve_index=False)
+
+
+_SUBSPLIT_BUDGET = 256 << 20    # in-bucket payload above this sub-splits
+
+
+def _join_bucket(parts, key, how, left_cols, right_cols, out_order, subsplit_budget) -> pa.Table:
+    """Reduce step of `hash_join`: join one bucket's two sides."""
+    import pandas as pd
+
+    lg, rg = unpack(parts, 0), unpack(parts, 1)
+    if (not lg and (how != "full" or not rg)) or (how == "inner" and not rg):
+        return pa.table({})
     if not lg:  # full, right-only bucket: right rows with null left cols
         rdf = pa.concat_tables(rg).to_pandas()
         out = pd.DataFrame(index=rdf.index)
@@ -366,171 +315,71 @@ def _bucket_join_tables(lg, rg, total_blob, key, how, left_cols, right_cols,
         for c in right_cols:
             name = c if c not in left_cols else f"{c}_r"
             out[name] = rdf[c]
-        return out[out_order]
-    ldf = pa.concat_tables(lg).to_pandas()
-    if not rg:
-        if how == "inner":
-            return None
+        return pa.Table.from_pandas(out[out_order], preserve_index=False)
+    lt = pa.concat_tables(lg)
+    ldf = lt.to_pandas()
+    if not rg:  # left or full: left rows with null right cols
         for c in right_cols:
             name = c if c not in ldf.columns else f"{c}_r"
             ldf[name] = np.nan
-        return ldf[out_order] if how == "full" else ldf
-    rdf = pa.concat_tables(rg).to_pandas()
+        return pa.Table.from_pandas(ldf[out_order] if how == "full" else ldf, preserve_index=False)
+    rt = pa.concat_tables(rg)
+    rdf = rt.to_pandas()
     how_pd = "outer" if how == "full" else how
-    if total_blob > subsplit_budget:
-        # Skew / estimate-miss guard: partition the bucket by a SECOND
-        # key hash (different multiplier than _bucket_of) and merge per
-        # part — parts partition the key space, so inner/left/outer
-        # merges concatenate exactly; peak memory is one part's merge.
-        n_parts = math.ceil(total_blob / subsplit_budget) + 1
-        lk = (ldf[key].to_numpy().astype(np.int64).view(np.uint64) * np.uint64(2654435761)) % np.uint64(1 << 32) % np.uint64(n_parts)
-        rk = (rdf[key].to_numpy().astype(np.int64).view(np.uint64) * np.uint64(2654435761)) % np.uint64(1 << 32) % np.uint64(n_parts)
+    total = lt.nbytes + rt.nbytes
+    if total > subsplit_budget:
+        # Skew / estimate-miss guard: partition the bucket by the key hash's
+        # HIGH bits (the bucket came from its low bits) and merge per part —
+        # parts partition the key space, so inner/left/outer merges
+        # concatenate exactly; peak memory is one part's merge.
+        n_parts = np.uint64(math.ceil(total / subsplit_budget) + 1)
+        lk = (combined_hash(lt, [key]) >> np.uint64(32)) % n_parts
+        rk = (combined_hash(rt, [key]) >> np.uint64(32)) % n_parts
         outs = [
             ldf.loc[lk == p].merge(rdf.loc[rk == p], on=key, how=how_pd, suffixes=("", "_r"))
-            for p in range(n_parts)
+            for p in range(int(n_parts))
         ]
         out = pd.concat(outs, ignore_index=True)
     else:
         out = ldf.merge(rdf, on=key, how=how_pd, suffixes=("", "_r"))
-    return out[out_order] if how == "full" else out
-
-
-def _raw_split_task(blk: pa.Table, num_buckets: int):
-    """Wave 1 of the raw exchange: one tagged block -> num_buckets objects
-    (None for buckets with no rows). Each downstream join task then fetches
-    exactly its bucket's bytes — no B x data read amplification."""
-    if len(blk) == 0 or "_bucket" not in blk.column_names:
-        # Ray passes empty input blocks through map_batches unchanged
-        return None if num_buckets == 1 else tuple([None] * num_buckets)
-    bcol = blk["_bucket"].to_numpy(zero_copy_only=False)
-    outs = []
-    for b in range(num_buckets):
-        m = bcol == b
-        outs.append(blk.filter(pa.array(m)) if m.any() else None)
-    return outs[0] if num_buckets == 1 else tuple(outs)
-
-
-def _raw_join_task(key, how, left_cols, right_cols, out_order, subsplit_budget, *parts):
-    """Wave 2: decode one bucket's (side, blob) rows from every split part
-    and join via the shared core."""
-    lg, rg, total = [], [], 0
-    for p in parts:
-        if p is None:
-            continue
-        side = p["_side"].to_numpy(zero_copy_only=False)
-        blobs = p["blob"].to_pylist()
-        for i, b in enumerate(blobs):
-            total += len(b)
-            (lg if side[i] == 0 else rg).append(_ipc_table(b))
-    df = _bucket_join_tables(lg, rg, total, key, how, left_cols, right_cols,
-                             out_order, subsplit_budget)
-    if df is None or (df.empty and len(df.columns) == 0):
-        return pa.table({})
-    return pa.Table.from_pandas(df, preserve_index=False)
-
-
-def _raw_exchange_join(lt, rt, num_buckets, key, how, left_cols, right_cols,
-                       out_order, subsplit_budget):
-    """Returns the joined Dataset, or None when the (blocks x buckets) ref
-    fan-out would exceed the driver bound — caller falls back to the
-    Dataset sort-shuffle path."""
-    import ray
-    import ray.data as rd
-
-    refs = []
-    for ds in (lt.materialize(), rt.materialize()):
-        for bundle in ds.iter_internal_ref_bundles():
-            refs.extend(bundle.block_refs)
-    if not refs:
-        return rd.from_arrow(pa.table({}))
-    if len(refs) * num_buckets > _RAW_EXCHANGE_MAX_REFS:
-        return None
-    split = ray.remote(**remote_args())(_raw_split_task)
-    cols = [split.options(num_returns=num_buckets).remote(r, num_buckets) for r in refs]
-    if num_buckets == 1:
-        cols = [[c] for c in cols]
-    join_t = ray.remote(**remote_args())(_raw_join_task)
-    outs = [
-        join_t.remote(key, how, left_cols, right_cols, out_order, subsplit_budget,
-                      *[c[b] for c in cols])
-        for b in range(num_buckets)
-    ]
-    return rd.from_arrow_refs(outs)
-
-
-def _estimate_bytes(ds) -> int | None:
-    """Lazy byte estimate for a Dataset: walk the logical DAG from the sink
-    upward, summing the first `size_bytes` each branch reports (reads know
-    their file bytes without executing; transforms report None and we keep
-    walking). Never triggers execution; returns None when nothing knows."""
-    try:
-        total = 0
-        found = False
-        stack = [ds._plan._logical_plan.dag]
-        while stack:
-            node = stack.pop()
-            meta = node.infer_metadata()
-            if meta is not None and meta.size_bytes is not None:
-                total += meta.size_bytes
-                found = True
-                continue
-            stack.extend(node.input_dependencies)
-        return total if found else None
-    except Exception:  # noqa: BLE001 — estimation is best-effort only
-        return None
-
-
-def _auto_num_buckets(left_ds, right_ds) -> int:
-    est_l, est_r = _estimate_bytes(left_ds), _estimate_bytes(right_ds)
-    if est_l is None and est_r is None:
-        return 64  # no metadata anywhere — the historical default
-    total = (est_l or 0) + (est_r or 0)
-    import math
-    return min(4096, max(8, math.ceil(total * _JOIN_EXPANSION / _BUCKET_MEM_BUDGET)))
+    return pa.Table.from_pandas(out[out_order] if how == "full" else out, preserve_index=False)
 
 
 def hash_join(left_ds, right_ds, key: str, num_buckets: int | None = None, how: str = "inner",
-              subsplit_budget: int | None = None, out_format: str = "pyarrow"):
-    """Large-large join: each batch splits into per-key-hash-bucket
-    Arrow-IPC payload rows (a common (_bucket, _side, blob) schema, so the
-    two sides union cleanly regardless of their columns); ONE shuffle
-    groups buckets, and each bucket joins locally. Right-side column
-    collisions get an `_r` suffix; the key joins once.
+              subsplit_budget: int | None = None):
+    """Large-large join over the hash exchange (`ops/exchange.py`): each
+    batch splits into per-key-hash-bucket Arrow-IPC payload rows (a common
+    (_bucket, _side, blob) schema, so the two sides travel together
+    regardless of their columns), and each bucket joins locally. Right-side
+    column collisions get an `_r` suffix; the key joins once. Integer,
+    date, timestamp and string keys hash alike on both sides.
 
     ``num_buckets=None`` (default) derives the bucket count from the two
     sides' lazily-estimated bytes (read metadata — no execution), targeting
     ~``_BUCKET_MEM_BUDGET`` in-memory bytes per bucket, so the same call
     that joins 60 MB with 8 buckets joins 1 TB with 4096. A bucket whose
-    shuffled payload still exceeds ``_SUBSPLIT_BUDGET`` (skew, estimate
-    miss) is sub-split by a secondary key hash inside the worker, bounding
-    the pandas-merge peak to one sub-part — the in-worker equivalent of
-    routing through the disk-backed `bucketed_join`. For repeated joins on
-    the same key, pre-bucket the stored layout (`write_bucketed`) instead.
+    payload still exceeds ``_SUBSPLIT_BUDGET`` (skew, estimate miss) is
+    sub-split by the key hash's high bits inside the worker, bounding the
+    pandas-merge peak to one sub-part — the in-worker equivalent of routing
+    through the disk-backed `bucketed_join`. For repeated joins on the same
+    key, pre-bucket the stored layout (`write_bucketed`) instead.
 
-    ``how``: ``"inner"`` or ``"left"``. A left join keeps unmatched left
-    rows with nulls in the right columns (NaN through pandas — aggregate
-    with COALESCE downstream if you need hash-stable ints; nullable int64
-    round-trips as float64+NaN on both compare sides). The right schema is
-    read once driver-side so buckets with no right rows still emit a
-    stable column set.
+    ``how``: ``"inner"``, ``"left"`` or ``"full"``. A left join keeps
+    unmatched left rows with nulls in the right columns (NaN through pandas
+    — aggregate with COALESCE downstream if you need hash-stable ints;
+    nullable int64 round-trips as float64+NaN on both compare sides). The
+    right schema is read once driver-side so buckets with no right rows
+    still emit a stable column set.
 
-    ``out_format="pyarrow"`` (default) converts each joined bucket to an
-    Arrow table INSIDE the worker: Ray's sort-based groupby/aggregate over
-    pandas blocks is ~20x slower than over Arrow blocks (measured 64 s vs
-    3 s on a 198k-row groupby — the dominant TPC-H composite constant), so
-    every join feeding a groupby wants Arrow out. NaN in float columns
-    becomes Arrow null (round-trips to NaN in to_pandas — value-identical).
-    Pass ``"pandas"`` only if a caller needs all-NaN object columns to
-    keep object dtype (Arrow would infer a null-typed column).
+    Each joined bucket becomes an Arrow table INSIDE the worker: Ray's
+    groupby/aggregate over pandas blocks is ~20x slower than over Arrow
+    blocks, so every join feeding a groupby wants Arrow out. NaN in float
+    columns becomes Arrow null (round-trips to NaN in to_pandas).
     """
-    import pandas as pd
-
     if how not in ("inner", "left", "full"):
         raise ValueError(f"how must be 'inner', 'left' or 'full', got {how!r}")
-    if out_format not in ("pyarrow", "pandas"):
-        raise ValueError(f"out_format must be 'pyarrow' or 'pandas', got {out_format!r}")
     if num_buckets is None:
-        num_buckets = _auto_num_buckets(left_ds, right_ds)
+        num_buckets = auto_buckets(left_ds, right_ds, floor=8, unknown=64)
     if subsplit_budget is None:
         subsplit_budget = _SUBSPLIT_BUDGET
     right_cols: list[str] | None = None
@@ -541,71 +390,14 @@ def hash_join(left_ds, right_ds, key: str, num_buckets: int | None = None, how: 
     if how == "full":
         left_cols = list(left_ds.schema().names)
         out_order = left_cols + [c if c not in left_cols else f"{c}_r" for c in right_cols]
+    tagged = [
+        ds.map_batches(tag, fn_args=([key], num_buckets, side), batch_format="pyarrow",
+                       zero_copy_batch=True, **remote_args())
+        for side, ds in enumerate((left_ds, right_ds))
+    ]
+    return shuffle(tagged, num_buckets, _join_bucket, key, how, left_cols, right_cols,
+                   out_order, subsplit_budget)
 
-    _empty_tagged = pa.table({
-        "_bucket": pa.array([], pa.int64()),
-        "_side": pa.array([], pa.int8()),
-        "blob": pa.array([], pa.large_binary()),
-    })
-
-    def tag(side: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            if len(batch) == 0 or key not in batch.column_names:
-                # column-less empty blocks (e.g. a prior exchange's empty
-                # buckets) tag to nothing
-                return _empty_tagged
-            k = batch[key].combine_chunks().cast(pa.int64()).to_numpy(zero_copy_only=False)
-            b = _bucket_of(k, num_buckets)
-            order = np.argsort(b, kind="stable")
-            bs = b[order]
-            cuts = np.flatnonzero(np.diff(bs)) + 1
-            starts = np.concatenate(([0], cuts))
-            ends = np.concatenate((cuts, [len(bs)]))
-            rows = {"_bucket": [], "_side": [], "blob": []}
-            sorted_batch = batch.take(pa.array(order, type=pa.int64()))
-            for s, e in zip(starts, ends):
-                if e == s:
-                    continue
-                rows["_bucket"].append(int(bs[s]))
-                rows["_side"].append(side)
-                rows["blob"].append(_ipc_bytes(sorted_batch.slice(s, e - s)))
-            return pa.table(
-                {
-                    "_bucket": pa.array(rows["_bucket"], type=pa.int64()),
-                    "_side": pa.array(rows["_side"], type=pa.int8()),
-                    "blob": pa.array(rows["blob"], type=pa.large_binary()),
-                }
-            )
-
-        return fn
-
-    lt = left_ds.map_batches(tag(0), batch_format="pyarrow", zero_copy_batch=True, **remote_args())
-    rt = right_ds.map_batches(tag(1), batch_format="pyarrow", zero_copy_batch=True, **remote_args())
-
-    if (
-        out_format == "pyarrow"
-        and num_buckets <= _RAW_EXCHANGE_MAX_BUCKETS
-    ):
-        out = _raw_exchange_join(lt, rt, num_buckets, key, how, left_cols,
-                                 right_cols, out_order, subsplit_budget)
-        if out is not None:  # None: ref fan-out exceeded the driver bound
-            return out
-
-    def _fin(df):
-        if out_format == "pandas":
-            return df if df is not None else pd.DataFrame()
-        if df is None or (df.empty and len(df.columns) == 0):
-            return pa.table({})
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    def join_bucket(g: pd.DataFrame):
-        lg = [_ipc_table(b) for b in g.loc[g["_side"] == 0, "blob"]]
-        rg = [_ipc_table(b) for b in g.loc[g["_side"] == 1, "blob"]]
-        total_blob = sum(len(b) for b in g["blob"])
-        return _fin(_bucket_join_tables(lg, rg, total_blob, key, how, left_cols,
-                                        right_cols, out_order, subsplit_budget))
-
-    return lt.union(rt).groupby("_bucket").map_groups(join_bucket, batch_format="pandas", **remote_args())
 
 def skew_join(left_ds, right_ds, key: str, num_buckets: int | None = None,
               hot_threshold: int = 100_000, max_hot_keys: int = 1 << 16,

@@ -5,10 +5,10 @@ Shape (SURVEY.md §3.4 / §7): plan byte-budget partitions from parquet
 metadata (no shuffle of token payloads — see partition.py), then
 
     ray.data.from_items(partition specs)
-      .map_batches(EncodePartition, batch_size=1, concurrency=N)   # actor pool
-      -> lineage rows (tiny)                                        # consume
+      .map_batches(_encode_spec_batch, batch_size=1)   # stateless task pool
+      -> lineage rows (tiny)                            # consume
 
-Each actor task reads its own row-group slice (read co-located with encode:
+Each task reads its own row-group slice (read co-located with encode:
 at cluster scale the raw tokens never transit the object store), encodes one
 stripe with per-column auto-selected codecs, writes stripe + manifest record
 atomically, and returns only the lineage row. Stats merge driver-side
@@ -39,12 +39,9 @@ from ..stripe import decode_stripe, encode_table
 
 
 class EncodePartition:
-    """Actor-pool callable: one partition spec row -> one stripe + lineage row.
-
-    Stateful per the north rule: the compressor and codec menus initialize
-    once per actor; selector choices are remembered per (column) so stable
-    columns skip re-sampling on subsequent partitions handled by this actor.
-    """
+    """Per-partition encode body: one partition spec row -> one stripe +
+    lineage row. Holds only the encode settings; codec selection runs afresh
+    for every stripe (no state carries across partitions)."""
 
     def __init__(self, out_dir: str, compression: str = "zstd", level: int = 3, row_index_stride: int | None = 10_000, archive: bool = False):
         self.out_dir = out_dir
@@ -107,9 +104,7 @@ def encode_dataset(
     compression: str = "zstd",
     level: int = 3,
     resume: bool = True,
-    concurrency: int | None = None,
     exact_ntok: bool = True,
-    use_actors: bool = False,
     verify_crc: bool = False,
     archive: bool = False,
 ) -> dict:
@@ -150,31 +145,15 @@ def encode_dataset(
     if todo:
         import functools
 
-        import ray
-
         from .._rayutil import remote_args
 
         ds = ray.data.from_items([s.to_row() for s in todo])
-        if use_actors:
-            # actor-pool path: only worth it when encoders carry cross-batch
-            # state (dict/FSST tables shared across stripes)
-            if concurrency is None:
-                concurrency = max(1, min(len(todo), int(ray.available_resources().get("CPU", 8))))
-            lineage = ds.map_batches(
-                EncodePartition,
-                fn_constructor_kwargs={"out_dir": out_dir, "compression": compression, "level": level, "archive": archive},
-                batch_format="pyarrow",
-                batch_size=1,
-                concurrency=concurrency,
-                **remote_args(),
-            )
-        else:
-            # default: stateless task pool. Measured 2.2x faster wall than the
-            # ActorPool operator on this workload (per-stripe state resets
-            # anyway, mirroring the reference's per-stripe reset at
-            # src/writer/stripe.rs:109), and elastic with the cluster.
-            fn = functools.partial(_encode_spec_batch, out_dir=out_dir, compression=compression, level=level, archive=archive)
-            lineage = ds.map_batches(fn, batch_format="pyarrow", batch_size=1, **remote_args())
+        # stateless task pool: measured 2.2x faster wall than the ActorPool
+        # operator on this workload (per-stripe state resets anyway,
+        # mirroring the reference's per-stripe reset at
+        # src/writer/stripe.rs:109), and elastic with the cluster
+        fn = functools.partial(_encode_spec_batch, out_dir=out_dir, compression=compression, level=level, archive=archive)
+        lineage = ds.map_batches(fn, batch_format="pyarrow", batch_size=1, **remote_args())
         results.extend(lineage.take_all())  # tiny: one row per partition
 
     summary = {

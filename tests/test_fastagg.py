@@ -105,6 +105,44 @@ def test_timestamp_key_fast_path(ray_session):
     assert sorted(out["s"].tolist()) == [3, 7]
 
 
+def test_date32_key_fast_path(ray_session):
+    # pyarrow has no date32 -> int64 cast; the key hash must still take it
+    d = pa.array([0, 0, 1, None, 1, None], pa.int32()).cast(pa.date32())
+    t = pa.table({"d": d, "v": pa.array([1, 2, 3, 4, 5, 6], type=pa.int64())})
+    out = hash_aggregate(ray.data.from_arrow(t).repartition(3), "d", [("v", "sum", "s")], num_buckets=2)
+    got = {str(r["d"]): r["s"] for r in out.take_all()}
+    assert got == {"1970-01-01": 3, "1970-01-02": 8, "None": 10}
+
+
+def _nullable_counts(key: pa.Array) -> pa.Table:
+    return pa.table({"k": key, "v": pa.array([1, None, None, 4, None, 6], type=pa.int64())})
+
+
+@pytest.mark.parametrize("key", [
+    pa.array([1, 1, 1, 2, 2, 2], pa.int64()),  # hashed exchange
+    pa.array([1.5, 1.5, 1.5, 2.5, 2.5, 2.5]),  # float key: Ray's groupby
+])
+def test_count_null_semantics_agree_on_both_routes(ray_session, key):
+    from orc_format_ray.ops.fastagg import fast_groupby
+
+    t = _nullable_counts(key)
+    want = {"nn": [1, 2], "rows": [3, 3], "n": [3, 3]}
+    got = fast_groupby(
+        ray.data.from_arrow(t), "k",
+        Count("v", ignore_nulls=True, alias_name="nn"), Count("v", alias_name="rows"), Count(alias_name="n"),
+        num_buckets=2,
+    ).to_pandas().sort_values("k")
+    assert {c: got[c].tolist() for c in want} == want
+    ray_native = ray.data.from_arrow(t).groupby("k").aggregate(
+        Count("v", ignore_nulls=True, alias_name="nn"), Count("v", alias_name="rows"), Count(alias_name="n"),
+    ).to_pandas().sort_values("k")
+    assert {c: ray_native[c].tolist() for c in want} == want
+    # hash_aggregate's "count" is the non-null count on either route
+    out = hash_aggregate(ray.data.from_arrow(t), "k", [("v", "count", "c"), ("v", "count_all", "n")],
+                         num_buckets=2).to_pandas().sort_values("k")
+    assert out["c"].tolist() == [1, 2] and out["n"].tolist() == [3, 3]
+
+
 def test_empty_dataset(ray_session):
     t = pa.table({"k": pa.array([], pa.int64()), "v": pa.array([], pa.int64())})
     out = hash_aggregate(ray.data.from_arrow(t), "k", [("v", "sum", "s")], num_buckets=4).to_pandas()
@@ -159,7 +197,7 @@ def test_fast_map_groups_string_key(ray_session):
     pd.testing.assert_frame_equal(_norm(out), _norm(expect), check_dtype=False)
 
 
-@pytest.mark.parametrize("nb", [1, 3, 8, 64])
+@pytest.mark.parametrize("nb", [1, 3, 8, 64, 65])  # 65: the groupby fallback
 def test_bucket_count_invariance(ray_session, nb):
     t = _data(n=5000, nk=97)
     outs = hash_aggregate(ray.data.from_arrow(t).repartition(7), "k",

@@ -11,6 +11,7 @@ import pyarrow as pa
 import pytest
 import ray
 
+from orc_format_ray.ops import exchange as x
 from orc_format_ray.ops import join as j
 
 
@@ -35,14 +36,14 @@ def _mk(n_left: int, n_right: int, seed: int):
 def test_auto_num_buckets_scales_with_estimated_bytes(ray_session, monkeypatch):
     lds = ray.data.read_parquet("/root/testdata/sf0.001/lineitem.parquet")
     rds = ray.data.read_parquet("/root/testdata/sf0.001/orders.parquet")
-    est_l, est_r = j._estimate_bytes(lds), j._estimate_bytes(rds)
+    est_l, est_r = x._estimate_bytes(lds), x._estimate_bytes(rds)
     assert est_l and est_l > 0 and est_r and est_r > 0  # reads know their bytes lazily
-    assert j._auto_num_buckets(lds, rds) == 8  # tiny inputs floor at 8
+    assert x.auto_buckets(lds, rds, floor=8, unknown=64) == 8  # tiny inputs floor at 8
     # shrink the per-bucket budget: the count must track ceil(total*EXPANSION/budget)
-    monkeypatch.setattr(j, "_BUCKET_MEM_BUDGET", 1 << 14)
+    monkeypatch.setattr(x, "_BUCKET_MEM_BUDGET", 1 << 14)
     import math
-    want = min(4096, max(8, math.ceil((est_l + est_r) * j._JOIN_EXPANSION / (1 << 14))))
-    assert j._auto_num_buckets(lds, rds) == want
+    want = min(4096, max(8, math.ceil((est_l + est_r) * x._JOIN_EXPANSION / (1 << 14))))
+    assert x.auto_buckets(lds, rds, floor=8, unknown=64) == want
     assert want > 8
 
 
@@ -50,7 +51,7 @@ def test_estimate_walks_past_transforms(ray_session):
     ds = ray.data.read_parquet("/root/testdata/sf0.001/lineitem.parquet").map_batches(
         lambda b: b, batch_format="pyarrow"
     )
-    est = j._estimate_bytes(ds)
+    est = x._estimate_bytes(ds)
     assert est and est > 0  # the map reports None; the walk reaches the read
 
 
@@ -69,13 +70,13 @@ def test_subsplit_matches_plain_merge(ray_session, how):
 
 @pytest.mark.parametrize("how", ["inner", "left", "full"])
 def test_raw_and_sortshuffle_paths_row_identical(ray_session, how):
-    # >_RAW_EXCHANGE_MAX_BUCKETS forces the Dataset sort-shuffle path; the
-    # two implementations share _bucket_join_tables and must agree exactly
+    # >_RAW_EXCHANGE_MAX_BUCKETS forces the exchange's groupby fallback; both
+    # paths run the same per-bucket reduce and must agree exactly
     left, right = _mk(2000, 1500, seed=17)
     raw = j.hash_join(ray.data.from_arrow(left), ray.data.from_arrow(right), "k",
                       num_buckets=8, how=how).to_pandas()
     slow = j.hash_join(ray.data.from_arrow(left), ray.data.from_arrow(right), "k",
-                       num_buckets=j._RAW_EXCHANGE_MAX_BUCKETS + 1, how=how).to_pandas()
+                       num_buckets=x._RAW_EXCHANGE_MAX_BUCKETS + 1, how=how).to_pandas()
     pd.testing.assert_frame_equal(_norm(raw), _norm(slow), check_dtype=False)
 
 
@@ -84,3 +85,18 @@ def test_default_auto_join_matches_pandas(ray_session):
     expect = left.to_pandas().merge(right.to_pandas(), on="k", how="inner", suffixes=("", "_r"))
     out = j.hash_join(ray.data.from_arrow(left), ray.data.from_arrow(right), "k").to_pandas()
     pd.testing.assert_frame_equal(_norm(out), _norm(expect), check_dtype=False)
+
+
+@pytest.mark.parametrize("typ", ["date32", "string"])
+def test_hash_join_takes_date_and_string_keys(ray_session, typ):
+    def key(vals):
+        a = pa.array(vals, pa.int32())
+        return a.cast(pa.date32()) if typ == "date32" else a.cast(pa.string())
+
+    left = pa.table({"k": key([1, 2, 2, 3, 5]), "lv": pa.array([10, 20, 21, 30, 50], pa.int64())})
+    right = pa.table({"k": key([2, 3, 4]), "rv": pa.array([200, 300, 400], pa.int64())})
+    for how in ("inner", "left", "full"):
+        expect = left.to_pandas().merge(right.to_pandas(), on="k", how={"full": "outer"}.get(how, how))
+        out = j.hash_join(ray.data.from_arrow(left), ray.data.from_arrow(right), "k",
+                          num_buckets=4, how=how).to_pandas()
+        pd.testing.assert_frame_equal(_norm(out.fillna(-1)), _norm(expect.fillna(-1)), check_dtype=False)

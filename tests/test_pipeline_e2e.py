@@ -62,7 +62,7 @@ def test_plan_partitions_budget_and_determinism(corpus):
 def test_encode_decode_roundtrip_per_doc(ray_session, corpus, tmp_path):
     d, paths = corpus
     out_dir = str(tmp_path / "stripes")
-    summary = enc.encode_dataset(paths, out_dir, budget_bytes=256 * 1024, concurrency=2)
+    summary = enc.encode_dataset(paths, out_dir, budget_bytes=256 * 1024)
     assert summary["num_rows"] == 3000
     assert summary["encoded"] == summary["partitions"] > 1
     assert os.path.exists(os.path.join(out_dir, "_summary.json"))

@@ -25,7 +25,7 @@ TABLES = ["region", "nation", "customer", "supplier", "part", "orders",
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--sf", default="/root/testdata/sf0.1")
-    ap.add_argument("--cpus", type=int, default=int(os.environ.get("RAY_GRAFT_CPUS", "32")))
+    ap.add_argument("--cpus", type=int, default=int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0)))))
     ap.add_argument("--reps", type=int, default=3)
     args = ap.parse_args()
 
